@@ -5,8 +5,10 @@ Modules:
 - ``kernels``      — pure-Python/numpy enumeration & search kernels,
                      shared by Spark ``mapInPandas`` tasks and the driver.
 - ``budgets``      — OOM/OOT simulation (paper's 504 GB / 24 h limits).
-- ``clique_listing`` — Spark k-clique listing/counting substrate.
-- ``scores``       — node scores (Def. 5) and clique scores (Def. 6).
+- ``clique_listing`` — the prepared graph (orders, DAGs and node
+                     scores, once per (graph, k)) and the Spark
+                     k-clique listing/counting fan-out.
+- ``scores``       — score collection and clique-score keys (Defs. 5-6).
 - ``clique_graph`` — condensed clique graph (Def. 2) and degrees (Def. 4).
 - ``mis``          — exact and greedy maximum independent set (for OPT).
 - ``opt``          — OPT pipeline: clique graph + exact MIS.

@@ -53,18 +53,10 @@ class Budget:
             )
 
     @property
-    def deadline(self) -> float | None:
-        """Absolute ``time.monotonic`` deadline, or None — kernels
-        running in executor processes compare against wall time
-        directly (monotonic clocks are per-process but drift over a
-        few minutes is irrelevant at our granularity, so we ship an
-        epoch deadline instead)."""
-        if self.max_seconds is None:
-            return None
-        return self.epoch_deadline
-
-    @property
     def epoch_deadline(self) -> float | None:
+        """Wall-clock (``time.time``) deadline, or None. Kernels in
+        executor processes compare against wall time, because monotonic
+        clocks are per-process."""
         if self.max_seconds is None:
             return None
         elapsed = time.monotonic() - self.started

@@ -1,8 +1,9 @@
 """GC — Algorithm 2: greedy over all cliques by ascending clique score.
 
 Materializes every k-clique (that is GC's defining cost — the paper's
-OOM cells, reproduced here via the Budget), attaches clique scores,
-then selects cliques in ascending ``(s_c(C), member tuple)`` order,
+OOM cells, reproduced here via the Budget), each with its clique score
+summed from the prepared graph's node scores in the listing task, then
+selects cliques in ascending ``(s_c(C), member tuple)`` order,
 skipping any clique that intersects an already chosen one.
 
 Two selection paths produce the identical S:
@@ -25,8 +26,7 @@ from pyspark.sql import functions as F
 
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
-from repro.core.scores import key_col, with_clique_scores
-from repro.graphs import adjacency as adj_mod
+from repro.core.scores import clique_id_col, key_col
 
 
 @dataclass
@@ -41,10 +41,9 @@ class GCResult:
         return len(self.S)
 
 
-def greedy_by_score(
-    scored: list[tuple[int, tuple[int, ...]]]
-) -> list[tuple[int, ...]]:
-    """Sequential greedy: ascending (score, members), keep disjoint."""
+def greedy_by_score(scored: list[tuple[object, tuple[int, ...]]]) -> list[tuple[int, ...]]:
+    """Sequential greedy: ascending (score, members), keep disjoint.
+    The score may be any key that sorts like it."""
     used: set[int] = set()
     S: list[tuple[int, ...]] = []
     for _, members in sorted(scored):
@@ -68,25 +67,21 @@ def gc(
     rounds (tests do, to exercise that path).
     """
     try:
-        from repro.core.scores import score_ordering
-
-        ordering, scores_df = score_ordering(spark, edges_df, k, budget=budget)
-        n_cliques = clique_listing.count_kcliques(spark, edges_df, k, ordering, budget=budget)
+        pg = clique_listing.prepare(clique_listing.collect_edges(edges_df), k, spark, budget)
         if budget is not None:
-            budget.check_count(n_cliques)  # GC must store all of them
+            budget.check_count(pg.n_cliques)  # GC must store all of them
             budget.check_time()
-        cliques_df = clique_listing.list_kcliques(spark, edges_df, k, ordering, budget=budget)
-        scored_df = with_clique_scores(cliques_df, scores_df, k)
-        if n_cliques <= driver_threshold:
+        scored_df = clique_listing.enumerate_cliques(spark, pg.adj, k, pg.scores, budget)
+        if pg.n_cliques <= driver_threshold:
             pdf = scored_df.toPandas()
             cols = clique_listing.member_cols(k)
             scored = [
                 (int(r.score), tuple(int(getattr(r, c)) for c in cols))
                 for r in pdf.itertuples(index=False)
             ]
-            return GCResult("OK", greedy_by_score(scored), n_cliques=n_cliques)
+            return GCResult("OK", greedy_by_score(scored), n_cliques=pg.n_cliques)
         S, rounds = select_distributed(spark, scored_df, k, driver_threshold)
-        return GCResult("OK", S, n_cliques=n_cliques, rounds=rounds)
+        return GCResult("OK", S, n_cliques=pg.n_cliques, rounds=rounds)
     except (SimulatedOOM, SimulatedOOT):
         raise
     except Exception as exc:
@@ -107,7 +102,13 @@ def select_distributed(
     the tail greedy composes exactly.
     """
     cols = clique_listing.member_cols(k)
-    df = scored_df.withColumn("key", key_col()).select("key", *cols).localCheckpoint()
+    # The one materialisation of the listing: later rounds read the checkpoint.
+    df = (
+        scored_df.withColumn("cid", clique_id_col(k))
+        .withColumn("key", key_col())
+        .select("key", *cols)
+        .localCheckpoint()
+    )
     S: list[tuple[int, ...]] = []
     rounds = 0
     while True:
@@ -115,17 +116,13 @@ def select_distributed(
         if remaining == 0:
             break
         if remaining <= driver_threshold:
-            pdf = df.toPandas()
-            scored = [
-                # key string sorts identically to (score, members)
-                (r.key, tuple(int(getattr(r, c)) for c in cols))
-                for r in pdf.itertuples(index=False)
-            ]
-            used: set[int] = set()
-            for _, members in sorted(scored):
-                if all(v not in used for v in members):
-                    S.append(members)
-                    used.update(members)
+            # The key string sorts like (score, members).
+            S += greedy_by_score(
+                [
+                    (r.key, tuple(int(getattr(r, c)) for c in cols))
+                    for r in df.toPandas().itertuples(index=False)
+                ]
+            )
             break
         rounds += 1
         ex = df.select("key", F.explode(F.array(*cols)).alias("node"))
@@ -152,16 +149,9 @@ def gc_numpy(edges: np.ndarray, k: int) -> GCResult:
     """Spark-free GC on a canonical edge array — identical ordering,
     scoring and tie-breaks as the Spark path; used by fast unit tests,
     Theorem-4 checks, and the dynamic module's from-scratch baseline."""
-    rank0 = adj_mod.rank_by_degree(edges)
-    adj0 = adj_mod.orient_by_rank(edges, rank0)
-    counts: dict[int, int] = {}
-    for u in adj0:
-        kernels.count_from_source(adj0, u, k, counts)
-    nodes = set(map(int, edges.reshape(-1)))
-    rank = adj_mod.rank_from_scores(counts, nodes)
-    adj = adj_mod.orient_by_rank(edges, rank)
+    pg = clique_listing.prepare(edges, k)
     cliques: list[tuple[int, ...]] = []
-    for u in adj:
-        kernels.enumerate_from_source(adj, u, k, out=cliques)
-    scored = [(sum(counts.get(v, 0) for v in c), c) for c in cliques]
+    for u in pg.adj:
+        kernels.enumerate_from_source(pg.adj, u, k, out=cliques)
+    scored = [(sum(pg.scores[v] for v in c), c) for c in cliques]
     return GCResult("OK", greedy_by_score(scored), n_cliques=len(cliques))

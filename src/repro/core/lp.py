@@ -4,16 +4,17 @@ Produces the same S as GC (Theorem 4 — exactly, because we fix the
 total clique order to ``(s_c(C), member tuple)`` everywhere) without
 ever storing the full clique set:
 
-1. node scores via counting (Spark, no cliques stored);
-2. score-based total ordering, DAG orientation (Spark);
-3. ``HeapInit``: for every source node in parallel (Spark
+1. the prepared graph (``clique_listing.prepare``): node scores from
+   one counting fan-out (no cliques stored), the score-based total
+   ordering and the DAG it orients;
+2. ``HeapInit``: for every source node in parallel (Spark
    ``mapInPandas``), ``FindMin`` — the minimum-score clique rooted
    there, with the score-driven pruning strategy (LP) or without (L);
-4. ``Calculation``: driver min-heap — pop the global minimum; if its
+3. ``Calculation``: driver min-heap — pop the global minimum; if its
    members are still valid add it to S, otherwise re-run ``FindMin``
    for its source over the remaining valid nodes and push the result.
 
-Step 4's correctness: scores are static, so a still-valid stored local
+Step 3's correctness: scores are static, so a still-valid stored local
 minimum remains the minimum over the shrinking candidate set; the heap
 top is therefore always the global minimum remaining clique.
 """
@@ -26,12 +27,11 @@ from typing import Iterator
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.core import clique_listing, kernels
 from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
-from repro.core.scores import collect_scores, score_ordering
-from repro.graphs import adjacency as adj_mod
+from repro.core.clique_listing import PreparedGraph
+from repro.core.scores import collect_scores  # noqa: F401  only for perfbench/spans.py
 
 
 @dataclass
@@ -56,18 +56,15 @@ def lp(
 ) -> LPResult:
     """Run Algorithm 3 (LP when ``prune``, L otherwise)."""
     try:
-        ordering, scores_df = score_ordering(spark, edges_df, k, budget=budget)
-        oriented = adj_mod.oriented_edges(edges_df, ordering)
-        adj = adj_mod.collect_out_adjacency(oriented)
-        scores = collect_scores(scores_df)
+        pg = clique_listing.prepare(clique_listing.collect_edges(edges_df), k, spark, budget)
         if budget is not None:
             budget.check_time()
-        heap_rows = _heap_init_spark(spark, adj, scores, k, prune, budget)
+        heap_rows = _heap_init_spark(spark, pg.adj, pg.scores, k, prune, budget)
     except (SimulatedOOM, SimulatedOOT):
         raise
     except Exception as exc:
         raise translate_spark_error(exc) from exc
-    return _calculation(adj, scores, heap_rows, k, prune)
+    return _calculation(pg.adj, pg.scores, heap_rows, k, prune)
 
 
 def _heap_init_spark(
@@ -158,22 +155,19 @@ def _calculation(
     return LPResult("OK", S, n_heap_init=len(heap_rows), n_recomputes=recomputes, visited=visited)
 
 
-def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:
-    """Spark-free Algorithm 3 on a canonical edge array — identical
-    ordering/scoring/tie-breaks as the Spark path. Used by fast unit
-    tests and as the dynamic module's from-scratch baseline."""
-    rank0 = adj_mod.rank_by_degree(edges)
-    adj0 = adj_mod.orient_by_rank(edges, rank0)
-    counts: dict[int, int] = {}
-    for u in adj0:
-        kernels.count_from_source(adj0, u, k, counts)
-    nodes = set(map(int, edges.reshape(-1)))
-    rank = adj_mod.rank_from_scores(counts, nodes)
-    adj = adj_mod.orient_by_rank(edges, rank)
+def lp_driver(pg: PreparedGraph, prune: bool = True) -> LPResult:
+    """Algorithm 3 on a prepared graph, ``HeapInit`` as a driver loop —
+    the same ordering, scoring and tie-breaks as the Spark path."""
     heap_rows = []
-    for u in sorted(adj):
+    for u in sorted(pg.adj):
         st: dict = {}
-        got = kernels.find_min_clique(adj, counts, u, k, None, prune, st)
+        got = kernels.find_min_clique(pg.adj, pg.scores, u, pg.k, None, prune, st)
         if got is not None:
             heap_rows.append((got[0], got[1], u, st.get("visited", 0)))
-    return _calculation(adj, counts, heap_rows, k, prune)
+    return _calculation(pg.adj, pg.scores, heap_rows, pg.k, prune)
+
+
+def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:
+    """Spark-free Algorithm 3 on a canonical edge array. Used by fast
+    unit tests and as the dynamic module's from-scratch baseline."""
+    return lp_driver(clique_listing.prepare(edges, k), prune)

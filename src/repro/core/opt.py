@@ -41,29 +41,19 @@ def opt(
 ) -> OptResult:
     """Exact solution with budget-simulated OOM/OOT (see DESIGN.md §3)."""
     try:
-        from pyspark.sql import functions as F
-
-        scores_df = clique_listing.node_clique_counts(spark, edges_df, k, budget=budget)
-        total = int(
-            scores_df.agg(F.sum("score").alias("s")).collect()[0]["s"] or 0
-        )
-        n_cliques = total // k
+        pg = clique_listing.prepare(clique_listing.collect_edges(edges_df), k, spark, budget)
         if budget is not None:
-            budget.check_count(n_cliques)
+            budget.check_count(pg.n_cliques)
             # Cheap upper bound on clique-graph edges from node scores:
             # cliques sharing node u form a clique of size s_n(u) in the
             # clique graph, so |E(G_C)| <= sum_u C(s_n(u), 2). Guard
             # BEFORE running the explode/self-join — the clique graph
             # is exactly where OPT blows up (Table III).
-            bound = int(
-                scores_df.agg(
-                    F.sum(F.col("score") * (F.col("score") - 1) / 2).alias("b")
-                ).collect()[0]["b"]
-                or 0
-            )
-            budget.check_count(bound)
+            budget.check_count(sum(s * (s - 1) // 2 for s in pg.scores.values()))
             budget.check_time()
-        cliques_df = clique_listing.list_kcliques(spark, edges_df, k)
+        # Materialised once: the clique graph, its count and the id
+        # collect below all read the checkpoint.
+        cliques_df = clique_listing.enumerate_cliques(spark, pg.adj, k).localCheckpoint()
         cg = clique_graph.clique_graph_edges(cliques_df, k)
         if budget is not None:
             budget.check_count(cg.count())

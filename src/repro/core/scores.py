@@ -3,50 +3,24 @@
 ``s_n(u)`` = number of k-cliques containing ``u``; ``s_c(C)`` =
 ``sum_{u in C} s_n(u)``. The clique score approximates the clique's
 degree in the clique graph (Theorem 2), which drives the selection
-order in Algorithms 2 and 3.
+order in Algorithms 2 and 3. Node scores are counted once per prepared
+graph (``clique_listing.prepare``); GC's listing task sums ``s_c``
+from the broadcast node scores.
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
-
-from repro.core import clique_listing
-from repro.core.budgets import Budget
-from repro.graphs import adjacency as adj_mod
-
-
-def node_scores(
-    spark: SparkSession,
-    edges_df: DataFrame,
-    k: int,
-    budget: Budget | None = None,
-) -> DataFrame:
-    """``(node, score)`` for every node (0 when in no k-clique)."""
-    return clique_listing.node_clique_counts(spark, edges_df, k, budget=budget)
 
 
 def clique_id_col(k: int):
-    """Canonical clique id: zero-padded members joined — lexicographic
-    string order equals (member tuple) order, so string min/sort give
-    the fixed total clique order."""
-    cols = [F.format_string("%010d", F.col(c)) for c in clique_listing.member_cols(k)]
+    """Canonical clique id over the member columns ``m0..m{k-1}``:
+    zero-padded members joined — lexicographic string order equals
+    (member tuple) order, so string min/sort give the fixed total
+    clique order."""
+    cols = [F.format_string("%010d", F.col(f"m{i}")) for i in range(k)]
     return F.concat_ws(",", *cols)
-
-
-def with_clique_scores(cliques_df: DataFrame, scores_df: DataFrame, k: int) -> DataFrame:
-    """Attach ``cid`` (canonical id) and ``score`` = s_c(C) to a clique
-    DataFrame via explode + join + re-aggregate (two shuffles, no
-    clique ever leaves the cluster)."""
-    cols = clique_listing.member_cols(k)
-    with_id = cliques_df.withColumn("cid", clique_id_col(k))
-    ex = with_id.select("cid", F.explode(F.array(*cols)).alias("node"))
-    summed = (
-        ex.join(scores_df, "node")
-        .groupBy("cid")
-        .agg(F.sum("score").alias("score"))
-    )
-    return with_id.join(summed, "cid")
 
 
 def key_col():
@@ -56,16 +30,11 @@ def key_col():
     return F.concat_ws("|", F.format_string("%015d", F.col("score")), F.col("cid"))
 
 
-def collect_scores(scores_df: DataFrame) -> dict[int, int]:
-    """Node scores as a plain dict for the driver-side kernels."""
-    pdf = scores_df.toPandas()
+def collect_scores(partials_df: DataFrame) -> dict[int, int]:
+    """Node scores as a plain dict: the counting tasks' partial
+    ``(node, score)`` rows, collected and summed per node."""
+    pdf = partials_df.toPandas()
+    sums = pdf.groupby("node")["score"].sum()
     return dict(
-        zip(pdf["node"].to_numpy(np.int64).tolist(), pdf["score"].to_numpy(np.int64).tolist())
+        zip(sums.index.to_numpy(np.int64).tolist(), sums.to_numpy(np.int64).tolist())
     )
-
-
-def score_ordering(spark: SparkSession, edges_df: DataFrame, k: int, budget=None):
-    """Score-based total ordering (Algorithm 3 line 3) plus the score
-    DataFrame it was derived from."""
-    sc = node_scores(spark, edges_df, k, budget=budget)
-    return adj_mod.ordering_from_scores(sc), sc

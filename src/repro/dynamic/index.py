@@ -109,15 +109,10 @@ def settle_free(state: DynamicState, seeds) -> list[Clique]:
         u = pending.pop()
         if not state.is_free(u):
             continue
-        while True:
-            free_around = {u} | {
-                w for w in state.adj.get(u, ()) if state.is_free(w)
-            }
-            got = kernels.cliques_in_subset(
-                state.adj, free_around, state.k, containing=(u,), limit=1
-            )
-            if not got:
-                break
+        free_around = {u} | {w for w in state.adj.get(u, ()) if state.is_free(w)}
+        got = kernels.cliques_in_subset(
+            state.adj, free_around, state.k, containing=(u,), limit=1
+        )
+        if got:
             added.append(state.add_to_S(got[0]))
-            break  # u is now covered; move on
     return added

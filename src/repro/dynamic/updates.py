@@ -40,14 +40,9 @@ def insert_edge(state: DynamicState, u: int, v: int) -> int:
     state.add_edge(u, v)
     u_free, v_free = state.is_free(u), state.is_free(v)
     if not u_free and not v_free:
-        # Both nodes already covered: no candidate can use this edge
-        # (a candidate's non-free nodes share one owner, and even then
-        # it needs a free node — no new clique through (u,v) has one
-        # unless it has other free members, which requires u or v free?
-        # No: a candidate may contain (u,v) non-free plus free others —
-        # but only if u and v share the same owner clique.)
+        # With both ends covered, a new candidate through (u, v) exists
+        # only when u and v share an owner.
         if state.node2c[u] == state.node2c[v]:
-            owner = state.node2c[u]
             gained = refresh_candidates(state, {u, v})
             if gained:
                 try_swap(state, deque(gained))
@@ -109,18 +104,3 @@ def delete_edge(state: DynamicState, u: int, v: int) -> int:
                 owner_set.discard(c)
     return len(state.S) - before
 
-
-def apply_workload(state: DynamicState, ops) -> dict:
-    """Apply a sequence of ('ins'|'del', u, v) updates; returns simple
-    counters (used by the Table VIII harness and benchmarks)."""
-    stats = {"ins": 0, "del": 0, "delta_S": 0}
-    for op, u, v in ops:
-        if op == "ins":
-            stats["delta_S"] += insert_edge(state, u, v)
-            stats["ins"] += 1
-        elif op == "del":
-            stats["delta_S"] += delete_edge(state, u, v)
-            stats["del"] += 1
-        else:  # pragma: no cover - defensive
-            raise ValueError(f"unknown op {op!r}")
-    return stats

@@ -2,6 +2,7 @@
 
 The paper evaluates on real social networks from KONECT / Network
 Repository; this subpackage provides deterministic synthetic stand-ins
-(see DESIGN.md §3) plus the Spark-side degree/ordering/orientation
-machinery every algorithm shares.
+(see DESIGN.md §3) plus the driver-side degree and score orderings and
+the DAG orientation that the prepared graph
+(``repro.core.clique_listing``) is built from.
 """

@@ -1,98 +1,19 @@
-"""Orderings, DAG orientation, and adjacency materialization.
+"""Orderings, DAG orientation and adjacency, on the driver.
 
 All static algorithms in the paper share the same preparation: pick a
 total node ordering ``eta``, orient each undirected edge from the
 higher-``eta`` endpoint to the lower one (``u -> v`` iff
 ``eta(u) > eta(v)``), and enumerate each k-clique exactly once from
-its highest-``eta`` member. Orderings and orientation are computed
-with the DataFrame API (window rank + joins); the oriented adjacency
-is then collected into a dict of sorted numpy arrays, which is what
-the enumeration kernels (driver-side and broadcast to ``mapInPandas``
-workers) consume.
+its highest-``eta`` member. Orderings are plain sorts of the edge
+array's nodes; the oriented adjacency is a dict of sorted numpy
+arrays, which is what the enumeration kernels (driver-side and
+broadcast to ``mapInPandas`` workers) consume. The prepared graph
+(``repro.core.clique_listing.prepare``) builds everything from these
+helpers.
 """
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame, Window
-from pyspark.sql import functions as F
-
-
-def nodes_df(edges_df: DataFrame) -> DataFrame:
-    """All distinct node ids appearing in the edge list."""
-    return (
-        edges_df.select(F.col("src").alias("node"))
-        .union(edges_df.select(F.col("dst").alias("node")))
-        .distinct()
-    )
-
-
-def degrees(edges_df: DataFrame) -> DataFrame:
-    """Per-node degree: ``(node, degree)``."""
-    both = edges_df.select(F.col("src").alias("node")).union(
-        edges_df.select(F.col("dst").alias("node"))
-    )
-    return both.groupBy("node").agg(F.count("*").alias("degree"))
-
-
-def ordering_by_degree(edges_df: DataFrame) -> DataFrame:
-    """Total ordering ``(node, rank)``: larger degree => larger rank,
-    ties broken by node id (Section IV-A's degree ordering)."""
-    w = Window.orderBy(F.col("degree").asc(), F.col("node").asc())
-    return degrees(edges_df).select(
-        "node", (F.row_number().over(w) - F.lit(1)).alias("rank")
-    )
-
-
-def ordering_by_id(edges_df: DataFrame) -> DataFrame:
-    """Total ordering by raw node id (used by reference/brute paths)."""
-    w = Window.orderBy(F.col("node").asc())
-    return nodes_df(edges_df).select(
-        "node", (F.row_number().over(w) - F.lit(1)).alias("rank")
-    )
-
-
-def ordering_from_scores(scores_df: DataFrame) -> DataFrame:
-    """Total ordering from node scores (Algorithm 3 line 3):
-    ``eta(u) < eta(v)  =>  s_n(u) <= s_n(v)``; ties by node id."""
-    w = Window.orderBy(F.col("score").asc(), F.col("node").asc())
-    return scores_df.select(
-        "node", (F.row_number().over(w) - F.lit(1)).alias("rank")
-    )
-
-
-def oriented_edges(edges_df: DataFrame, ordering: DataFrame) -> DataFrame:
-    """Directed version of the graph: ``(src, dst)`` with
-    ``rank(src) > rank(dst)`` — out-neighbours have smaller ordering,
-    exactly Algorithm 1 line 3."""
-    r = ordering
-    e = (
-        edges_df.join(r.withColumnRenamed("node", "src").withColumnRenamed("rank", "r_src"), "src")
-        .join(r.withColumnRenamed("node", "dst").withColumnRenamed("rank", "r_dst"), "dst")
-    )
-    return e.select(
-        F.when(F.col("r_src") > F.col("r_dst"), F.col("src")).otherwise(F.col("dst")).alias("src"),
-        F.when(F.col("r_src") > F.col("r_dst"), F.col("dst")).otherwise(F.col("src")).alias("dst"),
-    )
-
-
-def collect_out_adjacency(oriented_df: DataFrame) -> dict[int, np.ndarray]:
-    """Oriented out-adjacency as ``{u: sorted int64 array of N+(u)}``.
-
-    This is the structure the enumeration kernels intersect on
-    (``np.intersect1d`` with ``assume_unique=True``), both on the
-    driver and inside ``mapInPandas`` tasks via a broadcast.
-    """
-    pdf = oriented_df.toPandas()
-    return _group_sorted(pdf["src"].to_numpy(np.int64), pdf["dst"].to_numpy(np.int64))
-
-
-def collect_adjacency(edges_df: DataFrame) -> dict[int, np.ndarray]:
-    """Undirected adjacency as ``{u: sorted neighbour array}``."""
-    pdf = edges_df.toPandas()
-    s = pdf["src"].to_numpy(np.int64)
-    d = pdf["dst"].to_numpy(np.int64)
-    return _group_sorted(np.concatenate([s, d]), np.concatenate([d, s]))
 
 
 def _group_sorted(key: np.ndarray, val: np.ndarray) -> dict[int, np.ndarray]:
@@ -109,8 +30,6 @@ def _group_sorted(key: np.ndarray, val: np.ndarray) -> dict[int, np.ndarray]:
     return out
 
 
-# ---- driver-side (numpy, no Spark) helpers shared by the dynamic code ----
-
 def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
     """Undirected adjacency as mutable ``{u: set(neighbours)}`` — the
     representation the dynamic-maintenance code mutates per edge."""
@@ -122,7 +41,8 @@ def adj_sets(edges: np.ndarray) -> dict[int, set[int]]:
 
 
 def orient_by_rank(edges: np.ndarray, rank: dict[int, int]) -> dict[int, np.ndarray]:
-    """Driver-side DAG orientation: ``u -> v`` iff ``rank[u] > rank[v]``.
+    """DAG orientation (Algorithm 1 line 3): ``u -> v`` iff
+    ``rank[u] > rank[v]``, so out-neighbours have smaller ordering.
     Returns out-adjacency arrays sorted by node id."""
     srcs, dsts = [], []
     for u, v in edges:
@@ -136,9 +56,13 @@ def orient_by_rank(edges: np.ndarray, rank: dict[int, int]) -> dict[int, np.ndar
     return _group_sorted(np.asarray(srcs, np.int64), np.asarray(dsts, np.int64))
 
 
+# The name perfbench/spans.py times the prepared graph's orientations under.
+collect_out_adjacency = orient_by_rank
+
+
 def rank_by_degree(edges: np.ndarray) -> dict[int, int]:
-    """Driver-side degree ordering with id tie-break (matches
-    :func:`ordering_by_degree`)."""
+    """Degree ordering (Section IV-A): larger degree => larger rank,
+    ties broken by node id."""
     deg: dict[int, int] = {}
     for u, v in edges:
         deg[int(u)] = deg.get(int(u), 0) + 1
@@ -148,7 +72,7 @@ def rank_by_degree(edges: np.ndarray) -> dict[int, int]:
 
 
 def rank_from_scores(scores: dict[int, int], nodes) -> dict[int, int]:
-    """Driver-side score ordering with id tie-break (matches
-    :func:`ordering_from_scores`)."""
+    """Score ordering (Algorithm 3 line 3): ``eta(u) < eta(v)  =>
+    s_n(u) <= s_n(v)``, ties broken by node id."""
     ordered = sorted(nodes, key=lambda x: (scores.get(x, 0), x))
     return {u: i for i, u in enumerate(ordered)}

@@ -12,24 +12,19 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core import kernels
-from repro.core.lp import lp_numpy
+from repro.core.clique_listing import prepare
+from repro.core.lp import lp_driver
 from repro.dynamic import index as idx_mod
 from repro.dynamic import state as st_mod
-from repro.graphs import adjacency as adj_mod
 from repro.graphs import datasets
 
 
 def build_state(e: np.ndarray, k: int) -> st_mod.DynamicState:
-    """LP from scratch + node scores -> a DynamicState ready for
-    indexing (shared by Table VII/VIII harnesses and benchmarks)."""
-    res = lp_numpy(e, k)
-    rank = adj_mod.rank_by_degree(e)
-    adj = adj_mod.orient_by_rank(e, rank)
-    counts: dict[int, int] = {}
-    for u in adj:
-        kernels.count_from_source(adj, u, k, counts)
-    return st_mod.from_edges(e, k, res.S, counts)
+    """LP from scratch, and the node scores of the prepared graph it
+    ran on -> a DynamicState ready for indexing (shared by Table
+    VII/VIII harnesses and benchmarks)."""
+    pg = prepare(e, k)
+    return st_mod.from_edges(e, k, lp_driver(pg).S, pg.scores)
 
 
 def run(

@@ -9,7 +9,6 @@ from repro.core.gc import gc, gc_numpy
 from repro.core.hg import hg, hg_numpy
 from repro.core.lp import lp, lp_numpy
 from repro.core.opt import opt, opt_or_status
-from repro.core.scores import with_clique_scores, node_scores
 from repro.graphs import datasets
 
 from tests.helpers import paper_fig2_edges, random_graph
@@ -122,11 +121,12 @@ def test_clique_graph_fig2(spark):
 
 
 def test_clique_scores_spark_match_driver(spark, ftb):
+    """GC's scored cliques: s_c summed in the listing task from the
+    Spark-prepared scores equals the sum of driver-side counts."""
     e, df = ftb
     k = 3
-    scores_df = node_scores(spark, df, k)
-    cl = clique_listing.list_kcliques(spark, df, k)
-    scored = with_clique_scores(cl, scores_df, k).toPandas()
+    pg = clique_listing.prepare(clique_listing.collect_edges(df), k, spark)
+    scored = clique_listing.enumerate_cliques(spark, pg.adj, k, pg.scores).toPandas()
     from repro.core import kernels
     from repro.graphs import adjacency as adj_mod
 
@@ -135,6 +135,7 @@ def test_clique_scores_spark_match_driver(spark, ftb):
     counts: dict[int, int] = {}
     for u in adj:
         kernels.count_from_source(adj, u, k, counts)
+    assert len(scored) == len(validate.brute_force_all_kcliques(e, k))
     for r in scored.itertuples(index=False):
         members = (int(r.m0), int(r.m1), int(r.m2))
         assert int(r.score) == sum(counts[v] for v in members)

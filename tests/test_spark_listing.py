@@ -131,21 +131,42 @@ def test_member_columns_sorted_ascending(spark, ftb):
     assert (np.diff(arr, axis=1) > 0).all()
 
 
+def _degree_id_order(e):
+    """Nodes sorted by (degree, id), computed without the program."""
+    nodes, deg = np.unique(e, return_counts=True)
+    return nodes[np.lexsort((nodes, deg))].tolist()
+
+
+def _assert_dag(adj, e, key):
+    """Every edge of ``e`` appears once, from the higher to the lower
+    ``key`` — a DAG, since ``key`` is a total order."""
+    arcs = [(int(u), int(v)) for u, nb in adj.items() for v in nb]
+    assert len(arcs) == len(e)
+    assert {(min(a), max(a)) for a in arcs} == set(map(tuple, e.tolist()))
+    for u, v in arcs:
+        assert key(u) > key(v)
+
+
 def test_orderings_spark_vs_driver(spark, ftb):
+    """The degree stage, on the Spark path's collected edge frame and
+    on the driver path's edge array, gives the (degree, id) sort."""
     e, df = ftb
-    got = adj_mod.ordering_by_degree(df).toPandas()
-    got_map = dict(zip(got["node"].astype(int), got["rank"].astype(int)))
-    assert got_map == adj_mod.rank_by_degree(e)
+    want = _degree_id_order(e)
+    for edges in (clique_listing.collect_edges(df), e):
+        order, _ = clique_listing.by_degree(edges)
+        assert order.tolist() == want
 
 
 def test_oriented_edges_form_dag(spark, ftb):
+    """The degree DAG and, for both fan-outs, the score DAG of the
+    prepared graph orient every edge once, by their order."""
     e, df = ftb
-    ordering = adj_mod.ordering_by_degree(df)
-    oriented = adj_mod.oriented_edges(df, ordering).toPandas()
-    rank = adj_mod.rank_by_degree(e)
-    for s, d in oriented.to_numpy():
-        assert rank[int(s)] > rank[int(d)]
-    assert len(oriented) == len(e)
+    nodes, counts = np.unique(e, return_counts=True)
+    deg = dict(zip(nodes.tolist(), counts.tolist()))
+    _, dag = clique_listing.by_degree(clique_listing.collect_edges(df))
+    _assert_dag(dag, e, lambda u: (deg[u], u))
+    for pg in (clique_listing.prepare(e, 3, spark), clique_listing.prepare(e, 3)):
+        _assert_dag(pg.adj, e, lambda u: (pg.scores[u], u))
 
 
 def test_fig2_spark_listing(spark):
