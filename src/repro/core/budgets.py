@@ -9,7 +9,9 @@ actually exhausting the sandbox.
 """
 from __future__ import annotations
 
+import re
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 
@@ -65,10 +67,26 @@ class Budget:
 
 def translate_spark_error(exc: Exception) -> Exception:
     """Map a Py4J-wrapped executor failure back to the typed budget
-    exception if one of our markers is in the message."""
+    exception if one of our markers is in the message. The marker's
+    line names the check that tripped, so it is kept."""
     msg = str(exc)
-    if OOM_MARKER in msg:
-        return SimulatedOOM(f"{OOM_MARKER} (from executor)")
-    if OOT_MARKER in msg:
-        return SimulatedOOT(f"{OOT_MARKER} (from executor)")
+    for marker, kind in ((OOM_MARKER, SimulatedOOM), (OOT_MARKER, SimulatedOOT)):
+        found = re.search(f"{marker}.*", msg)
+        if found is not None:
+            return kind(f"{found.group(0)} (from executor)")
     return exc
+
+
+@contextmanager
+def budget_errors():
+    """Let budget failures through as they are, and re-raise a Spark
+    failure that carries a budget marker as the typed exception."""
+    try:
+        yield
+    except (SimulatedOOM, SimulatedOOT):
+        raise
+    except Exception as exc:
+        typed = translate_spark_error(exc)
+        if typed is exc:
+            raise
+        raise typed from exc

@@ -9,12 +9,13 @@ The substrate every algorithm shares.
   scores (Def. 5) over that DAG, derives the clique count
   ``sum(s_n) / k``, the score order and the DAG it orients
   (Algorithm 3 lines 2-3); GC, LP, OPT and the dynamic index use it.
-- Per-source kernels fan out in one of two ways, and that is the only
-  difference between the Spark path and the ``*_numpy`` path:
-  ``mapInPandas`` over a partitioned source-node DataFrame with the
-  oriented adjacency broadcast, or a loop on the driver. Counting never
-  materializes cliques, which is what makes Algorithm 3
-  "lightweight".
+- :func:`fan_out` — the one way a per-source kernel runs: a batch
+  function over source nodes, in ``mapInPandas`` tasks with the
+  oriented adjacency broadcast, or in one driver call (the
+  ``*_numpy`` path) — the only difference between the two paths. Its
+  batches: counting (:func:`count_batches`, which never materializes
+  cliques — what makes Algorithm 3 "lightweight"), listing
+  (:func:`enum_batches`) and LP's ``HeapInit``.
 - :func:`list_kcliques` / :func:`node_clique_counts` /
   :func:`count_kcliques` — the same on an edge DataFrame.
 - :func:`list_kcliques_joins` — a pure Catalyst reference: iterated
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 import pandas as pd
@@ -35,7 +36,7 @@ from pyspark.sql import functions as F
 
 from repro.core import kernels
 from repro.core import scores as scores_mod
-from repro.core.budgets import Budget, translate_spark_error
+from repro.core.budgets import Budget, budget_errors
 from repro.graphs import adjacency as adj_mod
 
 
@@ -44,8 +45,13 @@ def member_cols(k: int) -> list[str]:
     return [f"m{i}" for i in range(k)]
 
 
-def _clique_schema(k: int) -> str:
+def clique_schema(k: int) -> str:
     return ", ".join(f"{c} long" for c in member_cols(k))
+
+
+def member_rows(pdf: pd.DataFrame, k: int) -> list[tuple[int, ...]]:
+    """The member tuples of a collected clique frame, as Python ints."""
+    return list(pdf[member_cols(k)].itertuples(index=False, name=None))
 
 
 def collect_edges(edges_df: DataFrame) -> np.ndarray:
@@ -86,25 +92,53 @@ def prepare(
     budget: Budget | None = None,
 ) -> PreparedGraph:
     """Prepare ``edges`` for ``k``. The counting kernel fans out over
-    the degree DAG with ``mapInPandas`` when ``spark`` is given, else in
-    a driver loop; ``budget``'s deadline bounds the Spark tasks."""
+    the degree DAG (:func:`fan_out`: on Spark when ``spark`` is given,
+    else on the driver); ``budget``'s deadline bounds it either way."""
     _, dag = by_degree(edges)
-    if spark is None:
-        counts: dict[int, int] = {}
-        for u in dag:
-            kernels.count_from_source(dag, u, k, counts)
-    else:
-        counts = _count_fan_out(spark, dag, k, budget)
+    partials = fan_out(spark, dag, k, count_batches, "node long, score long", budget)
+    counts = scores_mod.collect_scores(partials)
     scores = {u: counts.get(u, 0) for u in np.unique(edges).tolist()}
     total = sum(scores.values())
     assert total % k == 0, "sum of node scores must be divisible by k"
     return PreparedGraph(edges, k, scores, total // k)
 
 
-def _sources_df(spark: SparkSession, adj: dict[int, np.ndarray], k: int) -> DataFrame:
-    """Nodes that can root a k-clique (out-degree >= k-1), spread over
-    partitions so mapInPandas tasks balance."""
-    srcs = [int(u) for u, nb in adj.items() if len(nb) >= k - 1]
+def fan_out(
+    spark: SparkSession | None,
+    adj: dict[int, np.ndarray],
+    k: int,
+    batch: Callable[..., pd.DataFrame],
+    schema: str,
+    budget: Budget | None = None,
+    **shared,
+) -> DataFrame | pd.DataFrame:
+    """Run ``batch(adj, sources, k, deadline, **shared)`` over the nodes
+    that can root a k-clique (out-degree >= k-1). With ``spark``:
+    ``mapInPandas`` tasks over :func:`_sources_df`, ``adj`` and
+    ``shared`` broadcast; returns a DataFrame of ``schema``. Without:
+    one driver call on all sources; returns its frame."""
+    sources = [int(u) for u, nb in adj.items() if len(nb) >= k - 1]
+    deadline = budget.epoch_deadline if budget is not None else None
+    if spark is None:
+        return batch(adj, np.array(sources, dtype=np.int64), k, deadline, **shared)
+    sc = spark.sparkContext
+    bc_adj = sc.broadcast(adj)
+    bc_shared = {name: sc.broadcast(value) for name, value in shared.items()}
+
+    def task(frames: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
+        a = bc_adj.value
+        values = {name: bc.value for name, bc in bc_shared.items()}
+        for frame in frames:
+            yield batch(a, frame["source"].to_numpy(np.int64), k, deadline, **values)
+
+    # The plan names the task; the trace tells kernels apart by it.
+    task.__name__ = batch.__name__
+    return _sources_df(spark, sources).mapInPandas(task, schema=schema)
+
+
+def _sources_df(spark: SparkSession, srcs: list[int]) -> DataFrame:
+    """The source nodes, spread over partitions so mapInPandas tasks
+    balance."""
     pdf = pd.DataFrame({"source": pd.Series(srcs, dtype="int64")})
     n_part = max(1, min(spark.sparkContext.defaultParallelism * 2, max(1, len(srcs) // 4)))
     # Shuffle sources so heavy hubs don't cluster in one partition.
@@ -112,63 +146,51 @@ def _sources_df(spark: SparkSession, adj: dict[int, np.ndarray], k: int) -> Data
     return spark.createDataFrame(pdf).repartition(n_part)
 
 
-def _count_fan_out(
-    spark: SparkSession, dag: dict[int, np.ndarray], k: int, budget: Budget | None
-) -> dict[int, int]:
-    """Node scores counted by ``mapInPandas`` tasks over the broadcast
-    DAG: each task folds its sources' enumerations into a local counter
-    (Algorithm 3 line 2); the partial counts are summed on the driver."""
-    bc = spark.sparkContext.broadcast(dag)
-    deadline = budget.epoch_deadline if budget is not None else None
+def count_batches(
+    adj: dict[int, np.ndarray], sources: np.ndarray, k: int, deadline: float | None
+) -> pd.DataFrame:
+    """Counting batch (Algorithm 3 line 2): the sources' enumerations
+    folded into one local counter, as partial ``(node, score)`` rows
+    that :func:`scores.collect_scores` sums."""
+    counts: dict[int, int] = {}
+    for src in sources.tolist():
+        kernels.count_from_source(adj, src, k, counts, deadline=deadline)
+    return pd.DataFrame({"node": list(counts), "score": list(counts.values())}, dtype="int64")
 
-    def count_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        adj = bc.value
-        counts: dict[int, int] = {}
-        for batch in batches:
-            for src in batch["source"].to_numpy(np.int64):
-                kernels.count_from_source(adj, int(src), k, counts, deadline=deadline)
-        yield pd.DataFrame({"node": list(counts), "score": list(counts.values())}, dtype="int64")
 
-    partials = _sources_df(spark, dag, k).mapInPandas(
-        count_batches, schema="node long, score long"
-    )
-    return scores_mod.collect_scores(partials)
+def enum_batches(
+    adj: dict[int, np.ndarray],
+    sources: np.ndarray,
+    k: int,
+    deadline: float | None,
+    scores: dict[int, int] | None = None,
+) -> pd.DataFrame:
+    """Listing batch: the cliques rooted at the sources, with s_c
+    (Def. 6) summed from ``scores`` in a ``score`` column when given."""
+    rows: list[tuple[int, ...]] = []
+    for src in sources.tolist():
+        kernels.enumerate_from_source(adj, src, k, out=rows, deadline=deadline)
+    pdf = pd.DataFrame(rows, columns=member_cols(k), dtype="int64")
+    if scores is not None:
+        pdf["score"] = pd.Series([sum(map(scores.__getitem__, c)) for c in rows], dtype="int64")
+    return pdf
 
 
 def enumerate_cliques(
-    spark: SparkSession,
+    spark: SparkSession | None,
     adj: dict[int, np.ndarray],
     k: int,
     scores: dict[int, int] | None = None,
     budget: Budget | None = None,
-) -> DataFrame:
+) -> DataFrame | pd.DataFrame:
     """All k-cliques of an oriented graph, one row each, member columns
     ``m0 < m1 < ... < m{k-1}`` (node-id order — the canonical clique
     identity). Each clique is produced exactly once, rooted at its
     highest-ordering member. With ``scores``, a ``score`` column holds
-    s_c (Def. 6), summed in the task from the broadcast node scores."""
-    sc = spark.sparkContext
-    bc = sc.broadcast(adj)
-    bc_scores = sc.broadcast(scores) if scores is not None else None
-    deadline = budget.epoch_deadline if budget is not None else None
-    cols = member_cols(k)
-    schema = _clique_schema(k) + (", score long" if scores is not None else "")
-
-    def enum_batches(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        adj = bc.value
-        s = bc_scores.value if bc_scores is not None else None
-        for batch in batches:
-            rows: list[tuple[int, ...]] = []
-            for src in batch["source"].to_numpy(np.int64):
-                kernels.enumerate_from_source(adj, int(src), k, out=rows, deadline=deadline)
-            pdf = pd.DataFrame(rows, columns=cols, dtype="int64") if rows else pd.DataFrame(
-                {c: pd.Series(dtype="int64") for c in cols}
-            )
-            if s is not None:
-                pdf["score"] = pd.Series([sum(map(s.__getitem__, c)) for c in rows], dtype="int64")
-            yield pdf
-
-    return _sources_df(spark, adj, k).mapInPandas(enum_batches, schema=schema)
+    s_c (Def. 6), summed in the task from the broadcast node scores.
+    A DataFrame with ``spark``, a pandas frame without (:func:`fan_out`)."""
+    schema = clique_schema(k) + (", score long" if scores is not None else "")
+    return fan_out(spark, adj, k, enum_batches, schema, budget, scores=scores)
 
 
 def list_kcliques(
@@ -206,10 +228,8 @@ def count_kcliques(
 ) -> int:
     """Total number of k-cliques: sum of node scores divided by k
     (every clique contributes once per member)."""
-    try:
+    with budget_errors():
         n = prepare(collect_edges(edges_df), k, spark, budget).n_cliques
-    except Exception as exc:  # translate budget failures from executors
-        raise translate_spark_error(exc) from exc
     if budget is not None:
         budget.check_count(n)
     return n

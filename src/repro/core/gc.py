@@ -21,11 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
-from repro.core import clique_listing, kernels
-from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core import clique_listing
+from repro.core.budgets import Budget, budget_errors
 from repro.core.scores import clique_id_col, key_col
 
 
@@ -66,26 +67,23 @@ def gc(
     selection finishes on the driver; set 0 to force the distributed
     rounds (tests do, to exercise that path).
     """
-    try:
+    with budget_errors():
         pg = clique_listing.prepare(clique_listing.collect_edges(edges_df), k, spark, budget)
         if budget is not None:
             budget.check_count(pg.n_cliques)  # GC must store all of them
             budget.check_time()
         scored_df = clique_listing.enumerate_cliques(spark, pg.adj, k, pg.scores, budget)
         if pg.n_cliques <= driver_threshold:
-            pdf = scored_df.toPandas()
-            cols = clique_listing.member_cols(k)
-            scored = [
-                (int(r.score), tuple(int(getattr(r, c)) for c in cols))
-                for r in pdf.itertuples(index=False)
-            ]
-            return GCResult("OK", greedy_by_score(scored), n_cliques=pg.n_cliques)
+            S = _greedy(scored_df.toPandas(), "score", k)
+            return GCResult("OK", S, n_cliques=pg.n_cliques)
         S, rounds = select_distributed(spark, scored_df, k, driver_threshold)
         return GCResult("OK", S, n_cliques=pg.n_cliques, rounds=rounds)
-    except (SimulatedOOM, SimulatedOOT):
-        raise
-    except Exception as exc:
-        raise translate_spark_error(exc) from exc
+
+
+def _greedy(pdf: pd.DataFrame, key: str, k: int) -> list[tuple[int, ...]]:
+    """:func:`greedy_by_score` over a collected clique frame, ordered
+    by its ``key`` column."""
+    return greedy_by_score(list(zip(pdf[key].tolist(), clique_listing.member_rows(pdf, k))))
 
 
 def select_distributed(
@@ -117,12 +115,7 @@ def select_distributed(
             break
         if remaining <= driver_threshold:
             # The key string sorts like (score, members).
-            S += greedy_by_score(
-                [
-                    (r.key, tuple(int(getattr(r, c)) for c in cols))
-                    for r in df.toPandas().itertuples(index=False)
-                ]
-            )
+            S += _greedy(df.toPandas(), "key", k)
             break
         rounds += 1
         ex = df.select("key", F.explode(F.array(*cols)).alias("node"))
@@ -135,8 +128,7 @@ def select_distributed(
             .select("key")
         )
         winners = df.join(winner_keys, "key", "left_semi").localCheckpoint()
-        for r in winners.toPandas().itertuples(index=False):
-            S.append(tuple(int(getattr(r, c)) for c in cols))
+        S += clique_listing.member_rows(winners.toPandas(), k)
         covered = winners.select(F.explode(F.array(*cols)).alias("node")).distinct()
         dead_keys = (
             ex.join(covered, "node", "left_semi").select("key").distinct()
@@ -148,10 +140,8 @@ def select_distributed(
 def gc_numpy(edges: np.ndarray, k: int) -> GCResult:
     """Spark-free GC on a canonical edge array — identical ordering,
     scoring and tie-breaks as the Spark path; used by fast unit tests,
-    Theorem-4 checks, and the dynamic module's from-scratch baseline."""
+    Theorem-4 checks, and the dynamic module's from-scratch baseline.
+    The listing is the Spark path's batch, run in one driver call."""
     pg = clique_listing.prepare(edges, k)
-    cliques: list[tuple[int, ...]] = []
-    for u in pg.adj:
-        kernels.enumerate_from_source(pg.adj, u, k, out=cliques)
-    scored = [(sum(pg.scores[v] for v in c), c) for c in cliques]
-    return GCResult("OK", greedy_by_score(scored), n_cliques=len(cliques))
+    scored = clique_listing.enumerate_cliques(None, pg.adj, k, pg.scores)
+    return GCResult("OK", _greedy(scored, "score", k), n_cliques=len(scored))

@@ -7,9 +7,11 @@ ever storing the full clique set:
 1. the prepared graph (``clique_listing.prepare``): node scores from
    one counting fan-out (no cliques stored), the score-based total
    ordering and the DAG it orients;
-2. ``HeapInit``: for every source node in parallel (Spark
-   ``mapInPandas``), ``FindMin`` — the minimum-score clique rooted
-   there, with the score-driven pruning strategy (LP) or without (L);
+2. ``HeapInit``: ``FindMin`` for every source node in parallel — the
+   minimum-score clique rooted there, with the score-driven pruning
+   strategy (LP) or without (L). It is one batch function fanned out
+   by ``clique_listing.fan_out``: in Spark tasks for :func:`lp`, in one
+   driver call for :func:`lp_driver`;
 3. ``Calculation``: driver min-heap — pop the global minimum; if its
    members are still valid add it to S, otherwise re-run ``FindMin``
    for its source over the remaining valid nodes and push the result.
@@ -21,15 +23,15 @@ top is therefore always the global minimum remaining clique.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import clique_listing, kernels
-from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core.budgets import OOT_MARKER, Budget, SimulatedOOT, budget_errors
 from repro.core.clique_listing import PreparedGraph
 from repro.core.scores import collect_scores  # noqa: F401  only for perfbench/spans.py
 
@@ -55,81 +57,51 @@ def lp(
     budget: Budget | None = None,
 ) -> LPResult:
     """Run Algorithm 3 (LP when ``prune``, L otherwise)."""
-    try:
+    with budget_errors():
         pg = clique_listing.prepare(clique_listing.collect_edges(edges_df), k, spark, budget)
         if budget is not None:
             budget.check_time()
-        heap_rows = _heap_init_spark(spark, pg.adj, pg.scores, k, prune, budget)
-    except (SimulatedOOM, SimulatedOOT):
-        raise
-    except Exception as exc:
-        raise translate_spark_error(exc) from exc
-    return _calculation(pg.adj, pg.scores, heap_rows, k, prune)
+        return _lp(spark, pg, prune, budget)
 
 
-def _heap_init_spark(
-    spark: SparkSession,
+def heap_init_batches(
     adj: dict[int, np.ndarray],
-    scores: dict[int, int],
+    sources: np.ndarray,
     k: int,
+    deadline: float | None,
+    scores: dict[int, int],
     prune: bool,
-    budget: Budget | None,
-) -> list[tuple[int, tuple[int, ...], int, int]]:
-    """Parallel ``HeapInit`` (Algorithm 3 lines 10-14): one FindMin per
-    source node, fanned out with mapInPandas. Returns
-    ``(score, members, source, visited)`` rows."""
-    sc = spark.sparkContext
-    bc_adj = sc.broadcast(adj)
-    bc_scores = sc.broadcast(scores)
-    deadline = budget.epoch_deadline if budget is not None else None
-    cols = clique_listing.member_cols(k)
-    schema = "source long, score long, visited long, " + ", ".join(
-        f"{c} long" for c in cols
+) -> pd.DataFrame:
+    """``HeapInit`` batch (Algorithm 3 lines 10-14): one FindMin per
+    source, as ``(source, score, visited, m0..)`` rows."""
+    rows = []
+    for src in sources.tolist():
+        if deadline is not None and time.time() > deadline:
+            raise SimulatedOOT(f"{OOT_MARKER}: HeapInit deadline exceeded")
+        st: dict = {}
+        got = kernels.find_min_clique(adj, scores, src, k, None, prune, st)
+        if got is not None:
+            rows.append((src, got[0], st.get("visited", 0)) + got[1])
+    return pd.DataFrame(
+        rows, columns=["source", "score", "visited"] + clique_listing.member_cols(k), dtype="int64"
     )
 
-    def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        a, s = bc_adj.value, bc_scores.value
-        rows = []
-        for batch in batches:
-            for src in batch["source"].to_numpy(np.int64):
-                import time as _t
 
-                if deadline is not None and _t.time() > deadline:
-                    from repro.core.budgets import OOT_MARKER
-
-                    raise SimulatedOOT(f"{OOT_MARKER}: HeapInit deadline")
-                st: dict = {}
-                got = kernels.find_min_clique(
-                    a, s, int(src), k, valid=None, prune=prune, stats=st
-                )
-                if got is not None:
-                    rows.append((int(src), got[0], st.get("visited", 0)) + got[1])
-        columns = ["source", "score", "visited"] + cols
-        yield (
-            pd.DataFrame(rows, columns=columns, dtype="int64")
-            if rows
-            else pd.DataFrame({c: pd.Series(dtype="int64") for c in columns})
-        )
-
-    sources = clique_listing._sources_df(spark, adj, k)
-    pdf = sources.mapInPandas(run, schema=schema).toPandas()
-    out = []
-    for r in pdf.itertuples(index=False):
-        members = tuple(int(getattr(r, c)) for c in cols)
-        out.append((int(r.score), members, int(r.source), int(r.visited)))
-    return out
-
-
-def _calculation(
-    adj: dict[int, np.ndarray],
-    scores: dict[int, int],
-    heap_rows: list[tuple[int, tuple[int, ...], int, int]],
-    k: int,
-    prune: bool,
+def _lp(
+    spark: SparkSession | None, pg: PreparedGraph, prune: bool, budget: Budget | None
 ) -> LPResult:
-    """Driver ``Calculation`` (Algorithm 3 lines 31-39)."""
-    visited = sum(r[3] for r in heap_rows)
-    heap = [(score, members, src) for score, members, src, _ in heap_rows]
+    """``HeapInit``, fanned out on Spark when ``spark`` is given, else
+    in one driver call; then the driver ``Calculation`` (Algorithm 3
+    lines 31-39)."""
+    adj, scores, k = pg.adj, pg.scores, pg.k
+    schema = "source long, score long, visited long, " + clique_listing.clique_schema(k)
+    rows = clique_listing.fan_out(
+        spark, adj, k, heap_init_batches, schema, budget, scores=scores, prune=prune
+    )
+    heap_init = rows if isinstance(rows, pd.DataFrame) else rows.toPandas()
+    visited = int(heap_init["visited"].sum())
+    cliques = clique_listing.member_rows(heap_init, k)
+    heap = list(zip(heap_init["score"].tolist(), cliques, heap_init["source"].tolist()))
     heapq.heapify(heap)
     n_max = 0
     for u, nb in adj.items():
@@ -152,19 +124,13 @@ def _calculation(
         visited += st.get("visited", 0)
         if got is not None:
             heapq.heappush(heap, (got[0], got[1], src))
-    return LPResult("OK", S, n_heap_init=len(heap_rows), n_recomputes=recomputes, visited=visited)
+    return LPResult("OK", S, n_heap_init=len(heap_init), n_recomputes=recomputes, visited=visited)
 
 
 def lp_driver(pg: PreparedGraph, prune: bool = True) -> LPResult:
-    """Algorithm 3 on a prepared graph, ``HeapInit`` as a driver loop —
-    the same ordering, scoring and tie-breaks as the Spark path."""
-    heap_rows = []
-    for u in sorted(pg.adj):
-        st: dict = {}
-        got = kernels.find_min_clique(pg.adj, pg.scores, u, pg.k, None, prune, st)
-        if got is not None:
-            heap_rows.append((got[0], got[1], u, st.get("visited", 0)))
-    return _calculation(pg.adj, pg.scores, heap_rows, pg.k, prune)
+    """Algorithm 3 on a prepared graph, ``HeapInit`` in one driver call —
+    the same batch, ordering, scoring and tie-breaks as the Spark path."""
+    return _lp(None, pg, prune, None)
 
 
 def lp_numpy(edges: np.ndarray, k: int, prune: bool = True) -> LPResult:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core import clique_graph, clique_listing
-from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, translate_spark_error
+from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT, budget_errors
 from repro.core.mis import exact_mis
 from repro.core.scores import clique_id_col
 
@@ -40,7 +40,7 @@ def opt(
     budget: Budget | None = None,
 ) -> OptResult:
     """Exact solution with budget-simulated OOM/OOT (see DESIGN.md §3)."""
-    try:
+    with budget_errors():
         pg = clique_listing.prepare(clique_listing.collect_edges(edges_df), k, spark, budget)
         if budget is not None:
             budget.check_count(pg.n_cliques)
@@ -60,15 +60,8 @@ def opt(
             budget.check_time()
         cg_pdf = cg.toPandas()
         ids_pdf = cliques_df.withColumn("cid", clique_id_col(k)).toPandas()
-    except (SimulatedOOM, SimulatedOOT):
-        raise
-    except Exception as exc:
-        raise translate_spark_error(exc) from exc
 
-    members: dict[str, tuple[int, ...]] = {}
-    cols = clique_listing.member_cols(k)
-    for row in ids_pdf.itertuples(index=False):
-        members[getattr(row, "cid")] = tuple(int(getattr(row, c)) for c in cols)
+    members = dict(zip(ids_pdf["cid"], clique_listing.member_rows(ids_pdf, k)))
     adj: dict[str, set[str]] = {cid: set() for cid in members}
     for row in cg_pdf.itertuples(index=False):
         adj[row.cid1].add(row.cid2)

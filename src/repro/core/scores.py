@@ -10,6 +10,7 @@ from the broadcast node scores.
 from __future__ import annotations
 
 import numpy as np
+import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -30,10 +31,11 @@ def key_col():
     return F.concat_ws("|", F.format_string("%015d", F.col("score")), F.col("cid"))
 
 
-def collect_scores(partials_df: DataFrame) -> dict[int, int]:
-    """Node scores as a plain dict: the counting tasks' partial
-    ``(node, score)`` rows, collected and summed per node."""
-    pdf = partials_df.toPandas()
+def collect_scores(partials: DataFrame | pd.DataFrame) -> dict[int, int]:
+    """Node scores as a plain dict: the counting batches' partial
+    ``(node, score)`` rows, collected when they are a Spark result,
+    and summed per node."""
+    pdf = partials if isinstance(partials, pd.DataFrame) else partials.toPandas()
     sums = pdf.groupby("node")["score"].sum()
     return dict(
         zip(sums.index.to_numpy(np.int64).tolist(), sums.to_numpy(np.int64).tolist())

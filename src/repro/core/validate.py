@@ -64,17 +64,22 @@ def brute_force_all_kcliques(edges: np.ndarray, k: int) -> set[tuple[int, ...]]:
 
 
 def brute_force_max_disjoint(edges: np.ndarray, k: int) -> int:
-    """Exact maximum |S| by exhaustive search over all k-cliques
-    (tiny graphs only) — validates OPT's branch-and-bound."""
+    """Exact maximum |S| over all k-cliques (tiny graphs only) —
+    validates OPT's branch-and-bound. A branch is cut when one clique
+    per k nodes of its remaining cliques cannot beat the best found;
+    that bound never undercounts, so the answer stays exact."""
     cliques = sorted(brute_force_all_kcliques(edges, k))
+    best = 0
 
-    def rec(i: int, used: set[int]) -> int:
-        best = 0
-        for j in range(i, len(cliques)):
-            c = cliques[j]
-            if not used.isdisjoint(c):
-                continue
-            best = max(best, 1 + rec(j + 1, used | set(c)))
-        return best
+    def rec(rest: list[tuple[int, ...]], size: int) -> None:
+        # ``rest``: the later cliques disjoint from the ones chosen.
+        nonlocal best
+        best = max(best, size)
+        if size + len({v for c in rest for v in c}) // k <= best:
+            return
+        for j, c in enumerate(rest):
+            chosen = set(c)
+            rec([d for d in rest[j + 1:] if chosen.isdisjoint(d)], size + 1)
 
-    return rec(0, set())
+    rec(cliques, 0)
+    return best

@@ -7,37 +7,43 @@ For each ``C`` the paper inspects ``B = C ∪ N_F(C)`` and lists all
 k-cliques on B except C — complete, because every candidate of C must
 lie inside B.
 
-``build_index_spark`` parallelizes the per-clique enumeration with
-``mapInPandas`` (the paper's "for each clique in S in parallel");
-``candidates_for`` is the driver-side kernel reused incrementally by
-the update algorithms.
+``candidate_cliques`` is that enumeration for one clique.
+``build_index_spark`` runs it in ``mapInPandas`` tasks (the paper's
+"for each clique in S in parallel"); ``candidates_for`` runs it on the
+driver, and the update algorithms reuse it incrementally.
 """
 from __future__ import annotations
 
 from typing import Iterator
 
-
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from repro.core import kernels
+from repro.core.clique_listing import member_cols, member_rows
 from repro.dynamic.state import Clique, DynamicState, canon
 
 
-def candidates_for(state: DynamicState, c: Clique) -> set[Clique]:
+def candidate_cliques(adj: dict[int, set[int]], non_free, c: Clique, k: int) -> set[Clique]:
     """All candidate k-cliques of ``c`` per Definition in Section V-A:
     k-cliques on ``B = c ∪ N_F(c)`` other than ``c`` that use at least
-    one node of ``c`` and at least one free node."""
+    one node of ``c`` and at least one free node. ``non_free`` holds
+    the nodes covered by S."""
     cset = set(c)
-    B = cset | state.free_neighbors(c)
+    B = cset | {w for v in c for w in adj.get(v, ()) if w not in non_free}
     out: set[Clique] = set()
-    for cand in kernels.cliques_in_subset(state.adj, B, state.k):
+    for cand in kernels.cliques_in_subset(adj, B, k):
         if cand == c:
             continue
-        non_free = [v for v in cand if v in cset]
-        if non_free and len(non_free) < state.k:
+        used = sum(1 for v in cand if v in cset)
+        if used and used < k:
             out.add(cand)
     return out
+
+
+def candidates_for(state: DynamicState, c: Clique) -> set[Clique]:
+    """:func:`candidate_cliques` of ``c`` in the current state."""
+    return candidate_cliques(state.adj, state.node2c, c, state.k)
 
 
 def build_index(state: DynamicState) -> None:
@@ -57,33 +63,21 @@ def build_index_spark(spark: SparkSession, state: DynamicState) -> int:
     k = state.k
     if not state.S:
         return 0
-    bc_adj = spark.sparkContext.broadcast({u: sorted(nb) for u, nb in state.adj.items()})
+    bc_adj = spark.sparkContext.broadcast(state.adj)
     bc_nonfree = spark.sparkContext.broadcast(set(state.node2c))
 
-    rows = pd.DataFrame(
-        {f"m{i}": [c[i] for c in sorted(state.S)] for i in range(k)}, dtype="int64"
-    )
+    rows = pd.DataFrame(sorted(state.S), columns=member_cols(k), dtype="int64")
     n_part = max(1, min(spark.sparkContext.defaultParallelism, len(rows)))
     cliques_df = spark.createDataFrame(rows).repartition(n_part)
 
     def run(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        adj = {u: set(nb) for u, nb in bc_adj.value.items()}
-        non_free = bc_nonfree.value
+        adj, non_free = bc_adj.value, bc_nonfree.value
         out_owner, out_cand = [], []
         for batch in batches:
-            for row in batch.itertuples(index=False):
-                c = tuple(int(getattr(row, f"m{i}")) for i in range(k))
-                cset = set(c)
-                B = set(c)
-                for v in c:
-                    B.update(w for w in adj.get(v, ()) if w not in non_free)
-                for cand in kernels.cliques_in_subset(adj, B, k):
-                    if cand == c:
-                        continue
-                    used = sum(1 for v in cand if v in cset)
-                    if used and used < k:
-                        out_owner.append(",".join(map(str, c)))
-                        out_cand.append(",".join(map(str, cand)))
+            for c in member_rows(batch, k):
+                for cand in candidate_cliques(adj, non_free, c, k):
+                    out_owner.append(",".join(map(str, c)))
+                    out_cand.append(",".join(map(str, cand)))
         yield pd.DataFrame({"owner": out_owner, "cand": out_cand})
 
     pdf = cliques_df.mapInPandas(run, schema="owner string, cand string").toPandas()
@@ -91,7 +85,7 @@ def build_index_spark(spark: SparkSession, state: DynamicState) -> int:
         state.cand[c] = set()
     for owner, cand in zip(pdf["owner"], pdf["cand"]):
         state.cand[canon(owner.split(","))].add(canon(cand.split(",")))
-    return int(sum(len(v) for v in state.cand.values()))
+    return index_size(state)
 
 
 def index_size(state: DynamicState) -> int:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core import validate
 from repro.graphs import generators as gen
 
 
@@ -44,3 +45,21 @@ def paper_fig5_g1_edges() -> np.ndarray:
         (9, 10), (9, 11), (10, 11),
     ]
     return np.array(sorted(e), dtype=np.int64)
+
+
+def exhaustive_max_disjoint(edges: np.ndarray, k: int) -> int:
+    """Exact maximum |S| by unpruned exhaustive search over all
+    k-cliques — the reference the pruned oracle
+    (``validate.brute_force_max_disjoint``) is checked against."""
+    cliques = sorted(validate.brute_force_all_kcliques(edges, k))
+
+    def rec(i: int, used: set[int]) -> int:
+        best = 0
+        for j in range(i, len(cliques)):
+            c = cliques[j]
+            if not used.isdisjoint(c):
+                continue
+            best = max(best, 1 + rec(j + 1, used | set(c)))
+        return best
+
+    return rec(0, set())

@@ -4,7 +4,7 @@ OOM/OOT behaviour, clique graph."""
 import pytest
 
 from repro.core import clique_graph, clique_listing, validate
-from repro.core.budgets import Budget, SimulatedOOM, SimulatedOOT
+from repro.core.budgets import OOT_MARKER, Budget, SimulatedOOM, SimulatedOOT
 from repro.core.gc import gc, gc_numpy
 from repro.core.hg import hg, hg_numpy
 from repro.core.lp import lp, lp_numpy
@@ -63,8 +63,10 @@ def test_gc_budget_oom(spark, ftb):
 
 def test_lp_budget_oot(spark, ftb):
     _, df = ftb
-    with pytest.raises(SimulatedOOT):
+    with pytest.raises(SimulatedOOT) as info:
         lp(spark, df, 3, budget=Budget(max_seconds=-1.0))
+    # The executor's marker line says which check tripped.
+    assert str(info.value) == f"{OOT_MARKER}: counting deadline exceeded (from executor)"
 
 
 def test_opt_fig2_is_maximum(spark):

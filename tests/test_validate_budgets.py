@@ -4,18 +4,20 @@ import time
 import numpy as np
 import pytest
 
-from repro.core import validate
+from repro.core import clique_listing, validate
 from repro.core.budgets import (
     Budget,
     OOM_MARKER,
     OOT_MARKER,
     SimulatedOOM,
     SimulatedOOT,
+    budget_errors,
     translate_spark_error,
 )
+from repro.core.lp import heap_init_batches
 from repro.graphs import adjacency as adj_mod
 
-from tests.helpers import paper_fig2_edges
+from tests.helpers import exhaustive_max_disjoint, paper_fig2_edges, random_graph
 
 
 def test_is_clique_and_not():
@@ -58,6 +60,16 @@ def test_brute_force_max_disjoint_fig2():
     assert validate.brute_force_max_disjoint(paper_fig2_edges(), 3) == 3
 
 
+@pytest.mark.parametrize("kind", ["pp", "plc"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_pruned_oracle_equals_exhaustive_search(kind, k):
+    """The branch-and-bound oracle's optimum equals the unpruned
+    search's on 30 seeded 14-node graphs."""
+    for seed in range(30):
+        e = random_graph(seed, 14, kind)
+        assert validate.brute_force_max_disjoint(e, k) == exhaustive_max_disjoint(e, k), seed
+
+
 def test_brute_force_all_kcliques_sizes():
     e = paper_fig2_edges()
     assert len(validate.brute_force_all_kcliques(e, 3)) == 7
@@ -96,3 +108,47 @@ def test_translate_spark_error():
     assert isinstance(translate_spark_error(RuntimeError(f"x {OOT_MARKER} y")), SimulatedOOT)
     e = ValueError("unrelated")
     assert translate_spark_error(e) is e
+    # The executor's line names the check that tripped; it is kept.
+    wrapped = RuntimeError(
+        "PythonException: Traceback (most recent call last):\n"
+        f"repro.core.budgets.SimulatedOOT: {OOT_MARKER}: counting deadline exceeded\n"
+        "\tat org.apache.spark.api.python.BasePythonRunner"
+    )
+    assert str(translate_spark_error(wrapped)) == (
+        f"{OOT_MARKER}: counting deadline exceeded (from executor)"
+    )
+
+
+def test_budget_errors_context():
+    with pytest.raises(SimulatedOOT, match=f"^{OOT_MARKER}: HeapInit deadline exceeded"):
+        with budget_errors():
+            raise RuntimeError(f"task failed: {OOT_MARKER}: HeapInit deadline exceeded")
+    with pytest.raises(SimulatedOOM, match="exceeds budget 1$"):
+        with budget_errors():
+            Budget(max_cliques=1).check_count(2)
+    with pytest.raises(ValueError, match="unrelated"):
+        with budget_errors():
+            raise ValueError("unrelated")
+
+
+@pytest.mark.parametrize(
+    "batch,shared,check",
+    [
+        (clique_listing.count_batches, lambda pg: {}, "counting"),
+        (clique_listing.enum_batches, lambda pg: {"scores": pg.scores}, "enumeration"),
+        (heap_init_batches, lambda pg: {"scores": pg.scores, "prune": True}, "HeapInit"),
+    ],
+)
+def test_fan_out_deadline_in_driver_mode(batch, shared, check):
+    """An expired budget stops each per-source batch in driver mode,
+    and the message names the batch's check."""
+    pg = clique_listing.prepare(paper_fig2_edges(), 3)
+    with pytest.raises(SimulatedOOT, match=f"{OOT_MARKER}: {check} deadline exceeded"):
+        clique_listing.fan_out(
+            None, pg.adj, 3, batch, "", budget=Budget(max_seconds=-1.0), **shared(pg)
+        )
+
+
+def test_prepare_honours_budget_in_driver_mode():
+    with pytest.raises(SimulatedOOT, match="counting deadline exceeded"):
+        clique_listing.prepare(paper_fig2_edges(), 3, budget=Budget(max_seconds=-1.0))
